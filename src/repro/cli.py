@@ -65,8 +65,9 @@ Commands:
 ``store ingest|ls|query|dfg|verify|gc``
     The TraceBank trace archive: ingest trace files or whole sweeps
     (``--store`` on ``figure``/``figures``/``chaos`` auto-archives every
-    traced bundle; ``--codec v2`` stores columnar segments that queries
-    scan by column projection), list runs, run filtered/aggregated
+    traced bundle in columnar v2 segments that queries scan by column
+    projection; ``--codec v1`` writes row-major segments, which every
+    reader still accepts), list runs, run filtered/aggregated
     queries and
     directly-follows graphs over the archive (``--jobs`` fans shard scans
     over processes with byte-identical output), verify end-to-end
@@ -107,6 +108,7 @@ from repro.core.casestudy import paper_table2
 from repro.core.requirements import Requirements, recommend
 from repro.core.summary_table import render_csv, render_markdown, render_summary_table
 from repro.errors import ReproError
+from repro.store.segments import CODECS, DEFAULT_CODEC
 from repro.trace import binary_format, text_format
 from repro.trace.anonymize import (
     ANONYMIZABLE_FIELDS,
@@ -1334,10 +1336,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--codec",
-            choices=("v1", "v2"),
-            default="v1",
-            help="segment codec for --store ingests: v1 row-major, "
-            "v2 columnar (fast projected scans); default v1",
+            choices=CODECS,
+            default=DEFAULT_CODEC,
+            help="segment codec for --store ingests: v2 columnar (fast "
+            "projected scans, the default) or v1 row-major (still read "
+            "everywhere, written on request)",
         )
 
     p = sub.add_parser("figure", help="regenerate Figure 2, 3 or 4")
@@ -1639,9 +1642,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("traces", nargs="+", help="trace files (text or binary)")
     sp.add_argument("--meta", nargs="*", default=None, metavar="K=V",
                     help="extra run metadata (queryable via --where)")
-    sp.add_argument("--codec", choices=("v1", "v2"), default="v1",
-                    help="segment codec: v1 row-major, v2 columnar "
-                    "(fast projected scans); default v1")
+    sp.add_argument("--codec", choices=CODECS, default=DEFAULT_CODEC,
+                    help="segment codec: v2 columnar (fast projected scans, "
+                    "the default) or v1 row-major (still read everywhere, "
+                    "written on request)")
     sp.set_defaults(fn=_cmd_store_ingest)
 
     sp = store_sub.add_parser("ls", help="list archived runs + archive stats")

@@ -45,6 +45,7 @@ from repro.faults.schedule import (
 from repro.harness.parallel import PointResult, RunSpec, RunStats, run_sweep
 from repro.harness.testbed import TestbedConfig, build_testbed
 from repro.obs.metrics import canonical_json
+from repro.store.segments import DEFAULT_CODEC
 from repro.units import KiB
 
 __all__ = [
@@ -529,7 +530,7 @@ def build_chaos_specs(
     frameworks: Sequence[str] = CHAOS_FRAMEWORKS,
     seed: int = 0,
     store: Optional[str] = None,
-    store_codec: str = "v1",
+    store_codec: str = DEFAULT_CODEC,
 ) -> List[RunSpec]:
     """One spec per (framework, scenario), framework-major order.
 
@@ -568,7 +569,7 @@ def run_chaos_matrix(
     cache: Optional[Any] = None,
     progress: Optional[Callable] = None,
     store: Optional[str] = None,
-    store_codec: str = "v1",
+    store_codec: str = DEFAULT_CODEC,
 ) -> Dict[str, Any]:
     """Run a named matrix and assemble the survival/overhead report.
 

@@ -8,7 +8,8 @@ ptrace-style tracers miss (memory-mapped I/O).  Features reproduced:
   "5 (V. Advanced)" control;
 * binary output with buffering, compression, checksums
   (:mod:`repro.trace.binary_format`);
-* CBC field anonymization (:mod:`.anonymizer`) — Table 2's "4 (Advanced)";
+* CBC field anonymization (:class:`repro.trace.anonymize.FieldSelectiveAnonymizer`)
+  — Table 2's "4 (Advanced)";
 * aggregation via event counters (:mod:`.counters`);
 * kernel-module ergonomics: root required, and *no* out-of-the-box
   parallel file system support (mounting over the PFS raises

@@ -25,6 +25,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional
 from repro.frameworks.base import TracedRun, TracingFramework
 from repro.harness.testbed import Testbed, TestbedConfig, build_testbed
 from repro.simmpi.runtime import JobResult, mpirun
+from repro.store.segments import DEFAULT_CODEC
 
 __all__ = [
     "RunOutcome",
@@ -201,7 +202,7 @@ def sweep_block_sizes(
     telemetry: bool = False,
     progress: Optional[Callable] = None,
     store: Optional[str] = None,
-    store_codec: str = "v1",
+    store_codec: str = DEFAULT_CODEC,
 ) -> List[Any]:
     """Measure overhead across block sizes at constant bytes per rank.
 

@@ -32,6 +32,7 @@ from repro.harness.parallel import (
 )
 from repro.harness.testbed import TestbedConfig
 from repro.simfs.pfs import PFSParams
+from repro.store.segments import DEFAULT_CODEC
 from repro.units import KiB, MiB
 from repro.workloads import AccessPattern
 
@@ -152,7 +153,7 @@ def figure_series(
     telemetry: bool = False,
     progress: Optional[Callable] = None,
     store: Optional[str] = None,
-    store_codec: str = "v1",
+    store_codec: str = DEFAULT_CODEC,
 ) -> FigureSeries:
     """Regenerate Figure 2, 3 or 4.
 
@@ -223,7 +224,7 @@ def run_figures(
     telemetry: bool = False,
     progress: Optional[Callable] = None,
     store: Optional[str] = None,
-    store_codec: str = "v1",
+    store_codec: str = DEFAULT_CODEC,
 ) -> FigureSweep:
     """Regenerate several figures as one flat sweep (maximum parallelism).
 

@@ -34,6 +34,7 @@ from repro.harness.experiment import (
     sweep_args_for_block_size,
 )
 from repro.harness.testbed import TestbedConfig
+from repro.store.segments import DEFAULT_CODEC
 
 __all__ = [
     "FRAMEWORK_FACTORIES",
@@ -147,10 +148,10 @@ class RunSpec:
     #: run's bundle after measuring and records the run id on the result.
     #: Part of the cache key (archived and plain points never alias).
     store: Optional[str] = None
-    #: Segment codec for ``store`` ingests ("v1" row-major, "v2"
-    #: columnar).  Part of the cache key only when non-default, so
+    #: Segment codec for ``store`` ingests ("v2" columnar, the default;
+    #: "v1" row-major on request).  Part of the cache key unless "v1", so
     #: pre-columnar cache entries keep their keys.
-    store_codec: str = "v1"
+    store_codec: str = DEFAULT_CODEC
 
     @staticmethod
     def create(
@@ -165,7 +166,7 @@ class RunSpec:
         sim_timeout: Optional[float] = None,
         retries: int = 0,
         store: Optional[str] = None,
-        store_codec: str = "v1",
+        store_codec: str = DEFAULT_CODEC,
     ) -> "RunSpec":
         """Construct a spec from plain arguments (dict args, name or spec)."""
         return RunSpec(
@@ -394,7 +395,7 @@ def build_sweep_specs(
     seed: Optional[int] = None,
     telemetry: bool = False,
     store: Optional[str] = None,
-    store_codec: str = "v1",
+    store_codec: str = DEFAULT_CODEC,
 ) -> List[RunSpec]:
     """Specs for a constant-bytes-per-rank block-size sweep (one per size)."""
     fw = as_framework_spec(framework)

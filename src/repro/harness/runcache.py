@@ -102,8 +102,14 @@ def spec_key(spec: RunSpec) -> str:
         material["retries"] = spec.retries
     # Archived specs widen the key too (a flag, not the store path: the
     # run id is content-derived, so it is valid for any archive location).
-    # The segment codec joins the key only when non-default, so every
-    # pre-columnar archived entry keeps its key.
+    # The segment codec joins the key whenever it is not "v1".  The rule
+    # names "v1" on purpose rather than "not the default": v1 was the
+    # default when archived entries first entered the cache, so every
+    # such entry keeps its key, and a spec on the v2 default keys apart
+    # from an explicit-v1 spec, so a warm v1 entry (whose run id names a
+    # v1 ingest) is never handed to a v2 run.  Do not rewrite it in terms
+    # of DEFAULT_CODEC: flipping the default would then silently alias
+    # the two codecs' cache entries.
     if getattr(spec, "store", None) is not None:
         material["store"] = True
         codec = getattr(spec, "store_codec", "v1")

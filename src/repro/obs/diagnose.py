@@ -80,28 +80,8 @@ MIN_GROUP = 3
 # -- fingerprints ------------------------------------------------------------
 
 
-def _segment_seq(bank, sha: str) -> List[Tuple[str, str, float, float]]:
-    """One segment's ``(name, layer, ts, dur)`` sequence, capture order.
-
-    Columnar segments project just the four columns the fingerprint
-    needs; v1 segments fall back to a full row decode.
-    """
-    from repro.store.segments import decode_segment
-    from repro.trace.columnar import is_columnar, read_columns
-
-    blob = bank.read_segment_blob(sha)
-    if is_columnar(blob):
-        cols = read_columns(blob, ("name", "layer", "timestamp", "duration"))
-        return [
-            (cols["name"][i], cols["layer"][i],
-             cols["timestamp"][i] or 0.0, cols["duration"][i] or 0.0)
-            for i in range(len(cols["name"]))
-        ]
-    tf = decode_segment(blob, expected_sha=sha)
-    return [
-        (e.name, e.layer.value, e.timestamp or 0.0, e.duration or 0.0)
-        for e in tf.events
-    ]
+#: What a fingerprint reads per event.
+_SEQ_FIELDS = ("name", "layer", "timestamp", "duration")
 
 
 def fingerprint_run(bank, run_id: str) -> Dict[str, Any]:
@@ -113,12 +93,15 @@ def fingerprint_run(bank, run_id: str) -> Dict[str, Any]:
     shifted to the run's first event so fingerprints from different
     capture epochs compare.
     """
+    from repro.store.query import shard_rows
+
     m = bank.manifest(run_id)
     per_rank: Dict[int, List[Tuple[str, str, float, float]]] = {}
     edges: Dict[str, int] = {}
     edge_gaps: Dict[str, List[float]] = {}
     for seg in m.segments:
-        seq = _segment_seq(bank, seg.sha256)
+        seq = shard_rows(bank.read_segment_blob(seg.sha256), seg.sha256,
+                         seg.rank, None, _SEQ_FIELDS)
         per_rank.setdefault(seg.rank, []).extend(seq)
         for (a, _la, a_ts, a_dur), (b, _lb, b_ts, _bd) in zip(seq, seq[1:]):
             key = "%s->%s" % (a, b)

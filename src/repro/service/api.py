@@ -68,6 +68,7 @@ from repro.service.tenants import TenantRegistry
 from repro.store.bank import TraceBank
 from repro.store.dfg import build_dfg
 from repro.store.query import Query, run_query
+from repro.store.segments import DEFAULT_CODEC
 
 __all__ = ["Request", "Response", "ServiceApp", "query_from_params"]
 
@@ -203,7 +204,7 @@ class ServiceApp:
         max_body_bytes: int = 32 << 20,
         query_jobs: int = 1,
         commit_workers: int = 2,
-        codec: str = "v1",
+        codec: str = DEFAULT_CODEC,
         access_log: Optional[Union[str, Path]] = None,
         trace_ring: int = 512,
         slowest_per_route: int = 8,

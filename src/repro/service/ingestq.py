@@ -241,6 +241,9 @@ class IngestQueue:
                 except OSError:
                     pass
                 continue
+            # An entry without a codec was written before headers carried
+            # one, when every ingest was v1.  It must replay as "v1" (not
+            # as today's default) to recover the run id it was acked under.
             entries.append(
                 WalEntry(
                     entry_id=path.stem,

@@ -39,6 +39,7 @@ from repro.store.manifest import (
     json_safe_meta,
 )
 from repro.store.segments import (
+    DEFAULT_CODEC,
     SegmentMeta,
     content_address,
     decode_segment,
@@ -184,15 +185,16 @@ class TraceBank:
         meta: Optional[Mapping[str, Any]] = None,
         compressed: bool = True,
         checksum: bool = True,
-        codec: str = "v1",
+        codec: str = DEFAULT_CODEC,
     ) -> IngestResult:
         """Archive one trace bundle as one run; idempotent.
 
         Each source file becomes one segment (keyed by its bundle rank);
         ``meta`` is merged over the bundle's own metadata and becomes the
         manifest's queryable run description.  ``codec`` picks the segment
-        wire format (``"v1"`` row-major, ``"v2"`` columnar); readers sniff
-        per blob, so codecs can mix freely within one archive.  Returns
+        wire format (``"v2"`` columnar by default, ``"v1"`` row-major on
+        request); readers sniff per blob, so codecs can mix freely within
+        one archive.  Returns
         the dedup-aware :class:`IngestResult`; emits ``store.ingest.*``
         telemetry when a collector is active.
         """
@@ -255,7 +257,7 @@ class TraceBank:
         rank: Optional[int] = None,
         compressed: bool = True,
         checksum: bool = True,
-        codec: str = "v1",
+        codec: str = DEFAULT_CODEC,
     ) -> IngestResult:
         """Archive one standalone trace file as a single-segment run."""
         key = rank if rank is not None else (tf.rank if tf.rank is not None else 0)
@@ -295,8 +297,8 @@ class TraceBank:
         """Raw encoded bytes of one segment (codec-sniffing callers).
 
         The content address is verified; decoding — full or columnar
-        projection — is the caller's choice.  This is the query engine's
-        entry to the columnar fast path: it sniffs the magic and projects
+        projection — is the caller's choice.  This is the scan kernel's
+        entry (:func:`repro.store.query.project_shard`): it projects
         columns instead of materializing every event.
         """
         path = self.segment_path(sha)

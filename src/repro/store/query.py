@@ -8,8 +8,10 @@ A query is answered in three stages:
    against the query's rank/op/layer/time predicates
    (:meth:`~repro.store.segments.SegmentMeta.may_match`): segments that
    cannot contain a matching event are never read — predicate pushdown;
-3. **Scan** — surviving shards are decoded and filtered, fanned out over
-   worker processes via :func:`repro.harness.parallel.parallel_map`.
+3. **Scan** — surviving shards go through one projected scan kernel
+   (:func:`project_shard`): only the columns the aggregate and filters
+   touch are decoded, whichever codec wrote the segment.  Scans fan out
+   over worker processes via :func:`repro.harness.parallel.parallel_map`.
 
 Partial results are merged in shard order (sorted by ``(run_id, rank,
 sha)``) regardless of worker completion order, and every report is
@@ -35,11 +37,17 @@ from repro.obs.metrics import canonical_json
 from repro.obs.tracepoints import STATE
 from repro.store.bank import TraceBank
 from repro.store.manifest import RunManifest
-from repro.store.segments import decode_segment
-from repro.trace.columnar import is_columnar, read_columns, read_header
-from repro.trace.events import TraceEvent
+from repro.store.segments import segment_columns, segment_header
 
-__all__ = ["AGGREGATES", "Query", "run_query", "scan_events", "telemetry_view"]
+__all__ = [
+    "AGGREGATES",
+    "Query",
+    "project_shard",
+    "run_query",
+    "scan_events",
+    "shard_rows",
+    "telemetry_view",
+]
 
 #: The supported ``Query.agg`` values.
 AGGREGATES: Tuple[str, ...] = ("events", "ops", "bytes", "bandwidth")
@@ -203,44 +211,7 @@ def select_shards(
     return selected, shards, stats
 
 
-def _event_matches(e: TraceEvent, rank: int, plan: Dict[str, Any]) -> bool:
-    if plan["ranks"] is not None and rank not in plan["ranks"]:
-        return False
-    if plan["names"] is not None and e.name not in plan["names"]:
-        return False
-    if plan["layers"] is not None and e.layer.value not in plan["layers"]:
-        return False
-    since, until = plan["since"], plan["until"]
-    if since is not None and e.timestamp < since:
-        return False
-    if until is not None and e.timestamp >= until:
-        return False
-    glob = plan["path_glob"]
-    if glob is not None and (e.path is None or not fnmatchcase(e.path, glob)):
-        return False
-    return True
-
-
-def _event_json(e: TraceEvent, run_id: str, rank: int, seq: int) -> Dict[str, Any]:
-    return {
-        "run": run_id,
-        "rank": rank,
-        "seq": seq,
-        "timestamp": e.timestamp,
-        "duration": e.duration,
-        "layer": e.layer.value,
-        "name": e.name,
-        "pid": e.pid,
-        "hostname": e.hostname,
-        "path": e.path,
-        "fd": e.fd,
-        "nbytes": e.nbytes,
-        "offset": e.offset,
-        "result": e.result if isinstance(e.result, (int, str)) else None,
-    }
-
-
-#: Columns each aggregate reads from a columnar segment (beyond filters).
+#: Columns each aggregate reads from a segment (beyond filters).
 _AGG_COLUMNS: Dict[str, Tuple[str, ...]] = {
     "events": ("timestamp", "duration", "layer", "name", "pid", "hostname",
                "path", "fd", "nbytes", "offset", "result"),
@@ -249,16 +220,20 @@ _AGG_COLUMNS: Dict[str, Tuple[str, ...]] = {
     "bandwidth": ("timestamp", "nbytes"),
 }
 
+#: A plan with no event-level filters (whole-segment scans).
+_NO_FILTERS: Dict[str, Any] = {
+    "ranks": None, "names": None, "layers": None,
+    "path_glob": None, "since": None, "until": None,
+}
 
-def _empty_partial(agg: str, rank: int) -> Dict[str, Any]:
-    """The zero-match partial for one shard (pruned-by-header case)."""
-    if agg == "events":
-        return {"matched": 0, "events": []}
-    if agg == "ops":
-        return {"matched": 0, "ops": {}}
-    if agg == "bytes":
-        return {"matched": 0, "rank": rank, "events": 0, "bytes": 0}
-    return {"matched": 0, "buckets": {}}
+
+def worker_plan(plan: Dict[str, Any]) -> Dict[str, Any]:
+    """A shipped scan plan with its membership filters turned into sets."""
+    plan = dict(plan)
+    for key in ("ranks", "names", "layers"):
+        if plan[key] is not None:
+            plan[key] = set(plan[key])
+    return plan
 
 
 def _filter_columns(plan: Dict[str, Any]) -> List[str]:
@@ -275,7 +250,7 @@ def _filter_columns(plan: Dict[str, Any]) -> List[str]:
     return need
 
 
-def _columnar_prune(
+def _header_prune(
     header: Dict[str, Any],
     rank: int,
     plan: Dict[str, Any],
@@ -283,11 +258,11 @@ def _columnar_prune(
 ) -> bool:
     """Header-only necessary-condition check: True means zero matches.
 
-    This is column-granularity pushdown *below* the manifest's
-    :meth:`~repro.store.segments.SegmentMeta.may_match`: the segment
-    header's own stats (distinct names, timestamp min/max, distinct
-    paths) can rule a segment out after reading one JSON frame, before
-    any column is decompressed.
+    This is segment-granularity pushdown *below* the manifest's
+    :meth:`~repro.store.segments.SegmentMeta.may_match`: a v2 header's
+    own stats (distinct names, timestamp min/max, distinct paths) can
+    rule a segment out after reading one JSON frame, before any column
+    is decompressed.  v1 headers carry only ``n_events``.
     """
     if plan["ranks"] is not None and rank not in plan["ranks"]:
         return True
@@ -309,13 +284,13 @@ def _columnar_prune(
     return False
 
 
-def _columnar_selection(
+def _selection(
     n: int,
     cols: Dict[str, List[Any]],
     plan: Dict[str, Any],
     matched_paths: Optional[frozenset],
-) -> Optional[List[int]]:
-    """Indices of events surviving the plan's filters (None = all survive).
+) -> Sequence[int]:
+    """Indices of events surviving the plan's filters, capture order.
 
     The path glob is evaluated per *distinct* path when the header listed
     them (``matched_paths``), turning a per-event fnmatch into a set
@@ -327,7 +302,7 @@ def _columnar_selection(
     glob = plan["path_glob"]
     if (names is None and layers is None and since is None
             and until is None and glob is None):
-        return None
+        return range(n)
     name_col = cols.get("name")
     layer_col = cols.get("layer")
     ts_col = cols.get("timestamp")
@@ -356,31 +331,70 @@ def _columnar_selection(
     return keep
 
 
-def _scan_shard_columnar(
-    blob: bytes, run_id: str, rank: int, plan: Dict[str, Any]
-) -> Dict[str, Any]:
-    """Columnar scan: project only the columns the aggregate touches.
+def project_shard(
+    blob: bytes,
+    sha: str,
+    rank: int,
+    plan: Optional[Dict[str, Any]],
+    fields: Sequence[str],
+) -> Tuple[Sequence[int], Dict[str, List[Any]]]:
+    """The projected scan kernel every archive reader goes through.
 
-    Produces bit-identical partials to the row path — per-shard float
-    sums (``ops`` durations) accumulate in segment order either way.
+    Returns ``(indices, columns)``: the capture-order indices of the
+    segment's events that pass ``plan``'s filters (``None`` = no
+    filters; membership filters as sets, see :func:`worker_plan`) and
+    ``fields`` projected over all its events.  When the segment header
+    alone proves nothing matches, no column is decoded and both come
+    back empty.  Only the columns the fields and filters touch are
+    decoded from v2 segments; v1 segments arrive as the same column dict
+    through :func:`~repro.store.segments.segment_columns`.
     """
-    agg = plan["agg"]
-    header = read_header(blob)
+    plan = plan or _NO_FILTERS
+    header = segment_header(blob)
     glob = plan["path_glob"]
     matched_paths: Optional[frozenset] = None
     if glob is not None and header.get("paths") is not None:
         matched_paths = frozenset(
             p for p in header["paths"] if fnmatchcase(p, glob)
         )
-    if _columnar_prune(header, rank, plan, matched_paths):
-        return _empty_partial(agg, rank)
-    n = int(header["n_events"])
-    need = set(_AGG_COLUMNS[agg])
+    if _header_prune(header, rank, plan, matched_paths):
+        return range(0), {f: [] for f in fields}
+    need = set(fields)
     need.update(_filter_columns(plan))
-    cols = read_columns(blob, sorted(need))
-    sel = _columnar_selection(n, cols, plan, matched_paths)
-    idxs: Sequence[int] = range(n) if sel is None else sel
-    matched = n if sel is None else len(sel)
+    cols = segment_columns(blob, sorted(need), expected_sha=sha)
+    n = len(cols[fields[0]])
+    return _selection(n, cols, plan, matched_paths), cols
+
+
+def shard_rows(
+    blob: bytes,
+    sha: str,
+    rank: int,
+    plan: Optional[Dict[str, Any]],
+    fields: Sequence[str],
+) -> List[Tuple[Any, ...]]:
+    """The filtered per-event ``fields`` tuples of one segment, capture
+    order — the op sequence DFGs and diagnosis fingerprints walk."""
+    idxs, cols = project_shard(blob, sha, rank, plan, fields)
+    picked = [cols[f] for f in fields]
+    if not isinstance(idxs, range):
+        picked = [list(map(col.__getitem__, idxs)) for col in picked]
+    return list(zip(*picked))
+
+
+def _scan_shard(task: Tuple[str, str, int, str, Dict[str, Any]]) -> Dict[str, Any]:
+    """Filter + partially aggregate one shard (worker entry).
+
+    Module-level so it pickles into :func:`~repro.harness.parallel.parallel_map`
+    worker processes.  Partial results use only plain JSON types; per-shard
+    float sums (``ops`` durations) accumulate in segment order.
+    """
+    root, run_id, rank, sha, plan = task
+    blob = TraceBank(root, create=False).read_segment_blob(sha)
+    plan = worker_plan(plan)
+    agg = plan["agg"]
+    idxs, cols = project_shard(blob, sha, rank, plan, _AGG_COLUMNS[agg])
+    matched = len(idxs)
     out: Dict[str, Any] = {"matched": matched}
     if agg == "events":
         ts, du = cols["timestamp"], cols["duration"]
@@ -435,72 +449,6 @@ def _scan_shard_columnar(
                 key = str(int(ts[i] // window))
                 buckets[key] = buckets.get(key, 0) + v
         out["buckets"] = buckets
-    return out
-
-
-def _scan_shard(task: Tuple[str, str, int, str, Dict[str, Any]]) -> Dict[str, Any]:
-    """Decode + filter + partially aggregate one shard (worker entry).
-
-    Module-level so it pickles into :func:`~repro.harness.parallel.parallel_map`
-    worker processes.  Partial results use only plain JSON types.
-    Columnar (v2) segments take the projected-scan fast path; v1 segments
-    decode row by row exactly as before.
-    """
-    root, run_id, rank, sha, plan = task
-    bank = TraceBank(root, create=False)
-    blob = bank.read_segment_blob(sha)
-    plan = dict(plan)
-    for key in ("ranks", "names", "layers"):
-        if plan[key] is not None:
-            plan[key] = set(plan[key])
-    if is_columnar(blob):
-        return _scan_shard_columnar(blob, run_id, rank, plan)
-    tf = decode_segment(blob, expected_sha=sha)
-    agg = plan["agg"]
-    matched = 0
-    out: Dict[str, Any] = {"matched": 0}
-    if agg == "events":
-        rows: List[Dict[str, Any]] = []
-        for seq, e in enumerate(tf.events):
-            if _event_matches(e, rank, plan):
-                rows.append(_event_json(e, run_id, rank, seq))
-        matched = len(rows)
-        out["events"] = rows
-    elif agg == "ops":
-        ops: Dict[str, List[float]] = {}
-        for e in tf.events:
-            if _event_matches(e, rank, plan):
-                matched += 1
-                cell = ops.setdefault(e.name, [0, 0.0])
-                cell[0] += 1
-                cell[1] += e.duration
-        out["ops"] = ops
-    elif agg == "bytes":
-        n_events = 0
-        nbytes = 0
-        for e in tf.events:
-            if _event_matches(e, rank, plan):
-                matched += 1
-                n_events += 1
-                if e.nbytes is not None:
-                    nbytes += e.nbytes
-        out["rank"] = rank
-        out["events"] = n_events
-        out["bytes"] = nbytes
-    elif agg == "bandwidth":
-        window = plan["window"]
-        buckets: Dict[str, int] = {}
-        for e in tf.events:
-            if _event_matches(e, rank, plan):
-                matched += 1
-                if e.nbytes is not None:
-                    idx = int(e.timestamp // window)
-                    key = str(idx)
-                    buckets[key] = buckets.get(key, 0) + e.nbytes
-        out["buckets"] = buckets
-    else:  # pragma: no cover - validate() rejects this before scan
-        raise StoreQueryError("unknown aggregate %r" % agg)
-    out["matched"] = matched
     return out
 
 

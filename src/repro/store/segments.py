@@ -4,17 +4,21 @@ A *segment* is one ``(run, rank)`` slice of a trace bundle — a
 :class:`~repro.trace.records.TraceFile` — serialized with one of two
 codecs and addressed by the SHA-256 of its encoded bytes:
 
-* ``v1`` — the row-major record stream (:mod:`repro.trace.binary_format`);
-* ``v2`` — the columnar layout (:mod:`repro.trace.columnar`), which the
-  query engine scans by projecting only the columns an aggregate needs.
+* ``v2`` — the columnar layout (:mod:`repro.trace.columnar`), the
+  default for every writer;
+* ``v1`` — the row-major record stream (:mod:`repro.trace.binary_format`),
+  still written on request (``codec="v1"``) and read forever.
 
 Both inherit CRC32 framing and optional zlib compression.  Readers never
-need to be told which codec a blob uses — :func:`decode_segment` sniffs
-the magic, so v1 archives stay readable forever and a single archive can
-hold a mix.  Content addressing is what makes the archive dedup for free:
-re-ingesting an identical run re-derives the same bytes, the same digest,
-and therefore the same on-disk file (per codec: the same events encoded
-v1 and v2 are two distinct segments).
+need to be told which codec a blob uses — :func:`segment_header` and
+:func:`segment_columns` sniff the magic, so old v1 archives stay readable
+and a single archive can hold a mix.  :func:`segment_columns` is the one
+read contract: either codec answers a projection with the same logical
+column dict, which is all the query engine, the DFG builder and
+diagnosis ever scan.  Content addressing is what makes the archive dedup
+for free: re-ingesting an identical run re-derives the same bytes, the
+same digest, and therefore the same on-disk file (per codec: the same
+events encoded v1 and v2 are two distinct segments).
 
 Every segment carries a :class:`SegmentMeta` summary in its run manifest —
 time range, per-op and per-layer counts, payload bytes — which is what the
@@ -25,30 +29,43 @@ them.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from functools import reduce
+from operator import add, attrgetter
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.errors import StoreCorruptionError, StoreError, TraceError
+from repro.trace import binary_format
 from repro.trace.binary_format import decode_trace_file, encode_trace_file
 from repro.trace.columnar import (
     decode_trace_file_columnar,
     encode_trace_file_columnar,
     is_columnar,
+    read_columns,
+    read_header,
+    trace_file_columns,
 )
 from repro.trace.records import TraceFile
 
 __all__ = [
     "CODECS",
+    "DEFAULT_CODEC",
     "SegmentMeta",
     "content_address",
     "encode_segment",
     "decode_segment",
     "segment_codec",
+    "segment_columns",
+    "segment_header",
     "summarize_segment",
 ]
 
 #: Codec names accepted by :func:`encode_segment` (and the CLI ``--codec``).
 CODECS = ("v1", "v2")
+
+#: The codec every writer uses unless told otherwise.
+DEFAULT_CODEC = "v2"
 
 
 def content_address(blob: bytes) -> str:
@@ -60,12 +77,12 @@ def encode_segment(
     tf: TraceFile,
     compressed: bool = True,
     checksum: bool = True,
-    codec: str = "v1",
+    codec: str = DEFAULT_CODEC,
 ) -> Tuple[bytes, str]:
     """Serialize one per-rank trace file; returns ``(blob, sha256)``.
 
-    ``codec`` picks the wire layout: ``"v1"`` row-major records, ``"v2"``
-    columnar.  Either encoding is deterministic for fixed codec flags
+    ``codec`` picks the wire layout: ``"v2"`` columnar, ``"v1"`` row-major
+    records.  Either encoding is deterministic for fixed codec flags
     (fixed zlib level, canonical field order), so identical events always
     produce identical bytes — the property content addressing depends on.
     """
@@ -113,6 +130,35 @@ def decode_segment(blob: bytes, expected_sha: str = "") -> TraceFile:
                 "segment %s fails to decode: %s" % (expected_sha[:12], exc)
             ) from exc
         raise
+
+
+def segment_header(blob: bytes) -> Dict[str, Any]:
+    """The segment's JSON header, read without touching event data.
+
+    Both codecs carry the file identity and ``n_events``; v2 adds the
+    per-column stats and distinct name/path sets that let a scan rule a
+    segment out before decoding anything.
+    """
+    if is_columnar(blob):
+        return read_header(blob)
+    return binary_format.read_header(blob)
+
+
+def segment_columns(
+    blob: bytes, fields: Sequence[str], expected_sha: str = ""
+) -> Dict[str, List[Any]]:
+    """Project ``fields`` out of a segment of either codec.
+
+    v2 segments decode only the requested column frames
+    (:func:`~repro.trace.columnar.read_columns`).  v1 segments are
+    decoded in full by :func:`decode_segment`, which checks
+    ``expected_sha`` when given, and transposed into the identical column
+    dict (:func:`~repro.trace.columnar.trace_file_columns`), so callers
+    never branch on the codec.
+    """
+    if is_columnar(blob):
+        return read_columns(blob, fields)
+    return trace_file_columns(decode_segment(blob, expected_sha), fields)
 
 
 @dataclass(frozen=True)
@@ -200,38 +246,29 @@ class SegmentMeta:
         return True
 
 
+_summary_fields = attrgetter("name", "layer", "timestamp", "duration", "nbytes")
+
+
 def summarize_segment(tf: TraceFile, rank: int, sha256: str, encoded_bytes: int) -> SegmentMeta:
     """Compute a :class:`SegmentMeta` over one trace file's events."""
-    ops: Dict[str, int] = {}
-    layers: Dict[str, int] = {}
-    t_min = 0.0
-    t_max = 0.0
-    total_duration = 0.0
-    payload = 0
-    for i, e in enumerate(tf.events):
-        ops[e.name] = ops.get(e.name, 0) + 1
-        layer = e.layer.value
-        layers[layer] = layers.get(layer, 0) + 1
-        total_duration += e.duration
-        if e.nbytes is not None:
-            payload += e.nbytes
-        if i == 0:
-            t_min = e.timestamp
-            t_max = e.end_timestamp
-        else:
-            if e.timestamp < t_min:
-                t_min = e.timestamp
-            if e.end_timestamp > t_max:
-                t_max = e.end_timestamp
+    if not tf.events:
+        return SegmentMeta(rank=rank, sha256=sha256, n_events=0, t_min=0.0,
+                           t_max=0.0, total_duration=0.0, payload_bytes=0,
+                           encoded_bytes=encoded_bytes)
+    names, layers, stamps, durations, nbytes = zip(*map(_summary_fields, tf.events))
     return SegmentMeta(
         rank=rank,
         sha256=sha256,
-        n_events=len(tf.events),
-        t_min=t_min,
-        t_max=t_max,
-        total_duration=total_duration,
-        payload_bytes=payload,
+        n_events=len(names),
+        t_min=min(stamps),
+        t_max=max(map(add, stamps, durations)),
+        # reduce, not sum(): sum() compensates float rounding on newer
+        # Pythons, which would change the stored bits across versions.
+        total_duration=reduce(add, durations, 0.0),
+        payload_bytes=sum(n for n in nbytes if n is not None),
         encoded_bytes=encoded_bytes,
-        ops=tuple(sorted(ops.items())),
-        layers=tuple(sorted(layers.items())),
+        ops=tuple(sorted(Counter(names).items())),
+        layers=tuple(sorted(
+            (layer.value, count) for layer, count in Counter(layers).items()
+        )),
     )

@@ -32,7 +32,13 @@ from repro.trace.compressio import compress, decompress
 from repro.trace.events import EventLayer, TraceEvent
 from repro.trace.records import TraceFile
 
-__all__ = ["encode_trace_file", "decode_trace_file", "encode_event_record", "decode_event_record"]
+__all__ = [
+    "encode_trace_file",
+    "decode_trace_file",
+    "encode_event_record",
+    "decode_event_record",
+    "read_header",
+]
 
 MAGIC = b"RTBF"
 VERSION = 1
@@ -202,8 +208,8 @@ def encode_trace_file(
     return b"".join(out)
 
 
-def decode_trace_file(data: bytes) -> TraceFile:
-    """Invert :func:`encode_trace_file`, verifying checksums."""
+def _read_preamble(data: bytes) -> Tuple[dict, int]:
+    """Validate magic/version, return (header, offset-of-first-block)."""
     if data[: len(MAGIC)] != MAGIC:
         raise TraceFormatError("not a binary trace (bad magic)")
     pos = len(MAGIC)
@@ -220,8 +226,19 @@ def decode_trace_file(data: bytes) -> TraceFile:
         raise TraceFormatError("corrupt header JSON") from None
     if not isinstance(header, dict):
         # json.loads happily returns lists/scalars; header.get on one
-        # would crash below with an AttributeError instead of a typed error.
+        # would crash later with an AttributeError instead of a typed error.
         raise TraceFormatError("header is not a JSON object")
+    return header, pos
+
+
+def read_header(data: bytes) -> dict:
+    """The trace's header (file identity and ``n_events``), blocks unread."""
+    return _read_preamble(data)[0]
+
+
+def decode_trace_file(data: bytes) -> TraceFile:
+    """Invert :func:`encode_trace_file`, verifying checksums."""
+    header, pos = _read_preamble(data)
     events: List[TraceEvent] = []
     while pos < len(data):
         payload, pos = unframe(data, pos)

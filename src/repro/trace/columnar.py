@@ -35,7 +35,8 @@ from __future__ import annotations
 
 import json
 import struct
-from itertools import accumulate
+from itertools import accumulate, chain, starmap
+from operator import attrgetter, sub
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import TraceFormatError, TraceTruncatedError
@@ -53,6 +54,7 @@ __all__ = [
     "is_columnar",
     "read_header",
     "read_columns",
+    "trace_file_columns",
 ]
 
 MAGIC = b"RTCF"
@@ -69,8 +71,14 @@ _F_PATH = 1 << 4
 _F_RESULT = 1 << 5
 _F_RESULT_INT = 1 << 6
 
+#: The presence bit of each nullable field other than ``result``.
+_PRESENCE_BIT = {
+    "rank": _F_RANK, "fd": _F_FD, "nbytes": _F_NBYTES, "offset": _F_OFFSET,
+    "path": _F_PATH,
+}
+
 _LAYER_CODE = {layer: i for i, layer in enumerate(EventLayer)}
-_CODE_LAYER = {i: layer for layer, i in _LAYER_CODE.items()}
+_VALUE_LAYER = {layer.value: layer for layer in EventLayer}
 _CODE_LAYER_VALUE = {i: layer.value for layer, i in _LAYER_CODE.items()}
 
 #: Physical column file order.  ``enc`` picks the packer: ``u8`` raw
@@ -107,56 +115,90 @@ _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 
 
-class _Interner:
-    """First-occurrence string dictionary: str -> dense u32 id."""
+#: ``json.dumps(args, separators=(",", ":"))`` with one shared encoder
+#: instead of a fresh one per call; tuples render as JSON arrays.
+_args_json = json.JSONEncoder(separators=(",", ":")).encode
 
-    __slots__ = ("ids", "strings")
+#: Every event field, in :class:`TraceEvent` argument order.
+_FIELDS = (
+    "timestamp", "duration", "layer", "name", "args", "result", "pid",
+    "rank", "hostname", "user", "path", "fd", "nbytes", "offset",
+)
+_event_fields = attrgetter(*_FIELDS)
 
-    def __init__(self) -> None:
-        self.ids: Dict[str, int] = {}
-        self.strings: List[str] = []
 
-    def put(self, text: str) -> int:
-        got = self.ids.get(text)
-        if got is not None:
-            return got
-        new_id = len(self.strings)
-        self.ids[text] = new_id
-        self.strings.append(text)
-        return new_id
+def _transpose(events: Sequence[TraceEvent]) -> Dict[str, Sequence[Any]]:
+    """Raw per-field value tuples of ``events`` (``None`` slots kept)."""
+    if not events:
+        return {name: () for name in _FIELDS}
+    return dict(zip(_FIELDS, zip(*map(_event_fields, events))))
+
+
+def _flag_column(raw: Dict[str, Sequence[Any]]) -> List[int]:
+    """The per-event presence bits of the ``flags`` column."""
+    return [
+        (rank is not None) * _F_RANK | (fd is not None) * _F_FD
+        | (nbytes is not None) * _F_NBYTES | (offset is not None) * _F_OFFSET
+        | (path is not None) * _F_PATH
+        | (0 if result is None
+           else _F_RESULT | _F_RESULT_INT
+           if isinstance(result, int) and not isinstance(result, bool)
+           else _F_RESULT)
+        for rank, fd, nbytes, offset, path, result in zip(
+            raw["rank"], raw["fd"], raw["nbytes"], raw["offset"], raw["path"],
+            raw["result"],
+        )
+    ]
+
+
+def _dense(values: Sequence[Optional[int]]) -> List[int]:
+    """A nullable integer field as a dense array (absent slots are 0)."""
+    return [0 if v is None else v for v in values]
 
 
 def _pack_dictionary(strings: Sequence[str]) -> bytes:
-    out = [_U32.pack(len(strings))]
-    for text in strings:
-        raw = text.encode("utf-8")
-        if len(raw) > 0xFFFF:
-            raise TraceFormatError("string too long for dictionary entry")
+    raws = [text.encode("utf-8") for text in strings]
+    if raws and max(map(len, raws)) > 0xFFFF:
+        raise TraceFormatError("string too long for dictionary entry")
+    out = [_U32.pack(len(raws))]
+    for raw in raws:
         out.append(_U16.pack(len(raw)))
         out.append(raw)
     return b"".join(out)
 
 
 def _unpack_dictionary(data: bytes) -> List[str]:
-    if len(data) < 4:
+    end = len(data)
+    if end < 4:
         raise TraceTruncatedError("dictionary count truncated")
     (count,) = _U32.unpack_from(data, 0)
+    # Walk the length prefixes first and decode the bodies in one batch
+    # afterwards.  A malformed walk is reported only once the bodies
+    # before it have decoded, so a corrupt entry still wins over a later
+    # truncation, as in an entry-by-entry decode.
+    bodies: List[bytes] = []
+    append = bodies.append
     pos = 4
-    strings: List[str] = []
+    problem: Optional[TraceFormatError] = None
     for _ in range(count):
-        if pos + 2 > len(data):
-            raise TraceTruncatedError("dictionary entry length truncated")
-        (n,) = _U16.unpack_from(data, pos)
-        pos += 2
-        if pos + n > len(data):
-            raise TraceTruncatedError("dictionary entry body truncated")
-        try:
-            strings.append(data[pos : pos + n].decode("utf-8"))
-        except UnicodeDecodeError:
-            raise TraceFormatError("corrupt UTF-8 in dictionary entry") from None
-        pos += n
-    if pos != len(data):
-        raise TraceFormatError("trailing bytes after dictionary")
+        start = pos + 2
+        if start > end:
+            problem = TraceTruncatedError("dictionary entry length truncated")
+            break
+        pos = start + (data[pos] | data[pos + 1] << 8)
+        if pos > end:
+            problem = TraceTruncatedError("dictionary entry body truncated")
+            break
+        append(data[start:pos])
+    else:
+        if pos != end:
+            problem = TraceFormatError("trailing bytes after dictionary")
+    try:
+        strings = list(map(bytes.decode, bodies))
+    except UnicodeDecodeError:
+        raise TraceFormatError("corrupt UTF-8 in dictionary entry") from None
+    if problem is not None:
+        raise problem
     return strings
 
 
@@ -166,10 +208,7 @@ def _pack_ints(values: Sequence[int]) -> bytes:
     if n == 0:
         return bytes([_ENC_DELTA])
     deltas = [values[0]]
-    prev = values[0]
-    for v in values[1:]:
-        deltas.append(v - prev)
-        prev = v
+    deltas += map(sub, values[1:], values)
     try:
         return bytes([_ENC_DELTA]) + struct.pack("<%dq" % n, *deltas)
     except struct.error:
@@ -215,12 +254,9 @@ def _unpack_u8(data: bytes, n: int) -> List[int]:
     return list(data)
 
 
-def _numeric_stats(values: Sequence, present: Optional[Sequence[int]] = None) -> Optional[Dict[str, Any]]:
-    """Min/max over present slots (None when the column is all-null)."""
-    if present is None:
-        kept = values
-    else:
-        kept = [v for v, p in zip(values, present) if p]
+def _numeric_stats(values: Sequence[Optional[float]]) -> Optional[Dict[str, Any]]:
+    """Min/max over present (non-``None``) values; None when there are none."""
+    kept = [v for v in values if v is not None]
     if not kept:
         return None
     return {"min": min(kept), "max": max(kept)}
@@ -230,99 +266,55 @@ def encode_trace_file_columnar(
     tf: TraceFile, compressed: bool = True, checksum: bool = True
 ) -> bytes:
     """Serialize a trace file columnar-first (see module docstring)."""
-    events = tf.events
-    n = len(events)
-    interner = _Interner()
+    raw = _transpose(tf.events)
+    names, paths = raw["name"], raw["path"]
+    result_text = [None if r is None else str(r) for r in raw["result"]]
+    args_text = list(map(_args_json, raw["args"]))
 
-    flags: List[int] = []
-    ts: List[float] = []
-    dur: List[float] = []
-    layer: List[int] = []
-    name_ids: List[int] = []
-    pids: List[int] = []
-    ranks: List[int] = []
-    host_ids: List[int] = []
-    user_ids: List[int] = []
-    path_ids: List[int] = []
-    fds: List[int] = []
-    nbytes_col: List[int] = []
-    offsets: List[int] = []
-    result_ids: List[int] = []
-    args_ids: List[int] = []
-
-    put = interner.put
-    for e in events:
-        f = 0
-        if e.rank is not None:
-            f |= _F_RANK
-        if e.fd is not None:
-            f |= _F_FD
-        if e.nbytes is not None:
-            f |= _F_NBYTES
-        if e.offset is not None:
-            f |= _F_OFFSET
-        if e.path is not None:
-            f |= _F_PATH
-        if e.result is not None:
-            f |= _F_RESULT
-            if isinstance(e.result, int) and not isinstance(e.result, bool):
-                f |= _F_RESULT_INT
-        flags.append(f)
-        ts.append(e.timestamp)
-        dur.append(e.duration)
-        layer.append(_LAYER_CODE[e.layer])
-        name_ids.append(put(e.name))
-        pids.append(e.pid)
-        ranks.append(e.rank if e.rank is not None else 0)
-        host_ids.append(put(e.hostname))
-        user_ids.append(put(e.user))
-        path_ids.append(put(e.path) if e.path is not None else 0)
-        fds.append(e.fd if e.fd is not None else 0)
-        nbytes_col.append(e.nbytes if e.nbytes is not None else 0)
-        offsets.append(e.offset if e.offset is not None else 0)
-        result_ids.append(put(str(e.result)) if e.result is not None else 0)
-        args_ids.append(put(json.dumps(list(e.args), separators=(",", ":"))))
+    # The dictionary interns strings event-major in field order (name,
+    # hostname, user, path, result, args): first occurrence fixes the id.
+    # Absent paths and results are not interned.
+    first_seen = dict.fromkeys(chain.from_iterable(zip(
+        names, raw["hostname"], raw["user"], paths, result_text, args_text
+    )))
+    first_seen.pop(None, None)
+    strings = list(first_seen)
+    string_id = dict(zip(strings, range(len(strings)))).__getitem__
 
     series: Dict[str, Sequence] = {
-        "flags": flags,
-        "timestamp": ts,
-        "duration": dur,
-        "layer": layer,
-        "name": name_ids,
-        "pid": pids,
-        "rank": ranks,
-        "hostname": host_ids,
-        "user": user_ids,
-        "path": path_ids,
-        "fd": fds,
-        "nbytes": nbytes_col,
-        "offset": offsets,
-        "result": result_ids,
-        "args": args_ids,
+        "flags": _flag_column(raw),
+        "timestamp": raw["timestamp"],
+        "duration": raw["duration"],
+        "layer": [_LAYER_CODE[layer] for layer in raw["layer"]],
+        "name": list(map(string_id, names)),
+        "pid": raw["pid"],
+        "rank": _dense(raw["rank"]),
+        "hostname": list(map(string_id, raw["hostname"])),
+        "user": list(map(string_id, raw["user"])),
+        "path": [0 if p is None else string_id(p) for p in paths],
+        "fd": _dense(raw["fd"]),
+        "nbytes": _dense(raw["nbytes"]),
+        "offset": _dense(raw["offset"]),
+        "result": [0 if t is None else string_id(t) for t in result_text],
+        "args": list(map(string_id, args_text)),
     }
 
     # Per-column pushdown stats: numeric min/max over *present* values,
     # plus the distinct op-name set (and path set, when small) so scans
     # can drop a whole segment from the header alone.
-    rank_present = [f & _F_RANK for f in flags]
     stats: Dict[str, Optional[Dict[str, Any]]] = {
-        "timestamp": _numeric_stats(ts),
-        "duration": _numeric_stats(dur),
-        "pid": _numeric_stats(pids),
-        "rank": _numeric_stats(ranks, rank_present),
-        "fd": _numeric_stats(fds, [f & _F_FD for f in flags]),
-        "nbytes": _numeric_stats(nbytes_col, [f & _F_NBYTES for f in flags]),
-        "offset": _numeric_stats(offsets, [f & _F_OFFSET for f in flags]),
+        field: _numeric_stats(raw[field])
+        for field in ("timestamp", "duration", "pid", "rank", "fd", "nbytes", "offset")
     }
-    distinct_names = sorted({e.name for e in events})
-    distinct_paths = sorted({e.path for e in events if e.path is not None})
+    distinct_names = sorted(set(names))
+    distinct_paths = sorted(set(paths).difference([None]))
 
     header = {
         "hostname": tf.hostname,
         "pid": tf.pid,
         "rank": tf.rank,
         "framework": tf.framework,
-        "n_events": n,
+        "n_events": len(tf.events),
         "columns": [name for name, _enc in COLUMNS],
         "stats": stats,
         "names": distinct_names if len(distinct_names) <= 512 else None,
@@ -333,7 +325,7 @@ def encode_trace_file_columnar(
     out = [MAGIC, _U16.pack(VERSION), frame(header_raw, with_checksum=checksum)]
     out.append(
         frame(
-            compress(_pack_dictionary(interner.strings), enabled=compressed),
+            compress(_pack_dictionary(strings), enabled=compressed),
             with_checksum=checksum,
         )
     )
@@ -402,6 +394,13 @@ def read_columns(data: bytes, fields: Sequence[str]) -> Dict[str, List[Any]]:
     are CRC-checked and decompressed; everything else is skipped by
     length prefix.
     """
+    return _project(data, fields)[1]
+
+
+def _project(
+    data: bytes, fields: Sequence[str]
+) -> Tuple[Dict[str, Any], Dict[str, List[Any]]]:
+    """:func:`read_columns`, also returning the segment header."""
     header, pos = _read_preamble(data)
     n = int(header.get("n_events", 0))
     want = set(fields)
@@ -434,7 +433,7 @@ def read_columns(data: bytes, fields: Sequence[str]) -> Dict[str, List[Any]]:
 
     def strings(ids: List[int]) -> List[str]:
         try:
-            return [dictionary[i] for i in ids]
+            return list(map(dictionary.__getitem__, ids))
         except IndexError:
             raise TraceFormatError("dictionary id out of range") from None
 
@@ -448,102 +447,66 @@ def read_columns(data: bytes, fields: Sequence[str]) -> Dict[str, List[Any]]:
                 out[field] = [_CODE_LAYER_VALUE[c] for c in col]
             except KeyError:
                 raise TraceFormatError("unknown layer code in column") from None
-        elif field in ("name", "hostname", "user"):
+        elif field in ("name", "hostname", "user", "args"):
             out[field] = strings(col)
-        elif field == "path":
-            texts = strings(col)
-            out[field] = [
-                t if f & _F_PATH else None for t, f in zip(texts, flags)
-            ]
         elif field == "result":
-            texts = strings(col)
-            vals: List[Any] = []
-            for t, f in zip(texts, flags):
-                if not f & _F_RESULT:
-                    vals.append(None)
-                elif f & _F_RESULT_INT:
-                    vals.append(int(t))
-                else:
-                    vals.append(t)
-            out[field] = vals
-        elif field == "args":
-            out[field] = strings(col)
-        elif field == "rank":
-            out[field] = [v if f & _F_RANK else None for v, f in zip(col, flags)]
-        elif field == "fd":
-            out[field] = [v if f & _F_FD else None for v, f in zip(col, flags)]
-        elif field == "nbytes":
-            out[field] = [v if f & _F_NBYTES else None for v, f in zip(col, flags)]
-        elif field == "offset":
-            out[field] = [v if f & _F_OFFSET else None for v, f in zip(col, flags)]
+            out[field] = [
+                None if not f & _F_RESULT else int(t) if f & _F_RESULT_INT else t
+                for t, f in zip(strings(col), flags)
+            ]
+        elif field in _PRESENCE_BIT:
+            bit = _PRESENCE_BIT[field]
+            values = strings(col) if field == "path" else col
+            out[field] = [v if f & bit else None for v, f in zip(values, flags)]
         else:  # flags, timestamp, duration, pid — raw columns
             out[field] = col
+    return header, out
+
+
+def trace_file_columns(tf: TraceFile, fields: Sequence[str]) -> Dict[str, List[Any]]:
+    """The column dict :func:`read_columns` returns for ``tf``'s columnar
+    encoding, built from already-decoded events.
+
+    This is how row-major (v1) segments join the projected scan: once
+    decoded, they answer through the same logical columns as v2.
+    """
+    unknown = set(fields).difference(_COLUMN_INDEX)
+    if unknown:
+        raise TraceFormatError("unknown columns requested: %s" % sorted(unknown))
+    raw = _transpose(tf.events)
+    out: Dict[str, List[Any]] = {}
+    for field in fields:
+        if field in out:
+            continue
+        if field == "flags":
+            out[field] = _flag_column(raw)
+        elif field == "layer":
+            out[field] = [layer.value for layer in raw["layer"]]
+        elif field == "args":
+            out[field] = list(map(_args_json, raw["args"]))
+        elif field == "result":
+            out[field] = [
+                r if r is None or isinstance(r, int) and not isinstance(r, bool)
+                else str(r)
+                for r in raw["result"]
+            ]
+        else:
+            out[field] = list(raw[field])
     return out
 
 
 def decode_trace_file_columnar(data: bytes) -> TraceFile:
     """Invert :func:`encode_trace_file_columnar`, verifying checksums."""
-    header, pos = _read_preamble(data)
-    n = int(header.get("n_events", 0))
-    dict_payload, pos = unframe(data, pos)
-    dictionary = _unpack_dictionary(decompress(dict_payload))
-
-    cols: Dict[str, List[Any]] = {}
-    for col_name, enc in COLUMNS:
-        payload, pos = unframe(data, pos)
-        cols[col_name] = _decode_column(payload, enc, n)
-    if pos != len(data):
-        raise TraceFormatError("trailing bytes after last column")
-
-    def text(i: int) -> str:
-        try:
-            return dictionary[i]
-        except IndexError:
-            raise TraceFormatError("dictionary id out of range") from None
-
-    events: List[TraceEvent] = []
-    for i in range(n):
-        f = cols["flags"][i]
-        try:
-            layer = _CODE_LAYER[cols["layer"][i]]
-        except KeyError:
-            raise TraceFormatError(
-                "unknown layer code %d" % cols["layer"][i]
-            ) from None
-        result: Any = None
-        if f & _F_RESULT:
-            rendered = text(cols["result"][i])
-            result = int(rendered) if f & _F_RESULT_INT else rendered
-        try:
-            args = tuple(json.loads(text(cols["args"][i])))
-        except (ValueError, TypeError):
-            raise TraceFormatError("corrupt args JSON in column") from None
-        try:
-            events.append(
-                TraceEvent(
-                    timestamp=cols["timestamp"][i],
-                    duration=cols["duration"][i],
-                    layer=layer,
-                    name=text(cols["name"][i]),
-                    args=args,
-                    result=result,
-                    pid=cols["pid"][i],
-                    rank=cols["rank"][i] if f & _F_RANK else None,
-                    hostname=text(cols["hostname"][i]),
-                    user=text(cols["user"][i]),
-                    path=text(cols["path"][i]) if f & _F_PATH else None,
-                    fd=cols["fd"][i] if f & _F_FD else None,
-                    nbytes=cols["nbytes"][i] if f & _F_NBYTES else None,
-                    offset=cols["offset"][i] if f & _F_OFFSET else None,
-                )
-            )
-        except (ValueError, TypeError):
-            raise TraceFormatError("invalid event fields in column data") from None
-    expected = header.get("n_events")
-    if expected is not None and expected != len(events):
-        raise TraceFormatError(
-            "header said %s events, decoded %d" % (expected, len(events))
-        )
+    header, cols = _project(data, _FIELDS)
+    cols["layer"] = [_VALUE_LAYER[value] for value in cols["layer"]]
+    try:
+        cols["args"] = [tuple(json.loads(text)) for text in cols["args"]]
+    except (ValueError, TypeError):
+        raise TraceFormatError("corrupt args JSON in column") from None
+    try:
+        events = list(starmap(TraceEvent, zip(*(cols[f] for f in _FIELDS))))
+    except (ValueError, TypeError):
+        raise TraceFormatError("invalid event fields in column data") from None
     return TraceFile(
         events,
         hostname=header.get("hostname", ""),

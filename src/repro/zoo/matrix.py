@@ -36,6 +36,7 @@ from repro.harness.parallel import PointResult, RunSpec, run_sweep
 from repro.obs.metrics import canonical_json
 from repro.replay.fidelity import schedule_profile
 from repro.replay.pseudoapp import build_pseudoapp
+from repro.store.segments import DEFAULT_CODEC
 from repro.trace.events import EventLayer
 from repro.zoo.registry import SCENARIOS, ZooScenario, get
 
@@ -65,7 +66,7 @@ def build_zoo_specs(
     framework: Optional[str] = None,
     telemetry: bool = False,
     store: Optional[str] = None,
-    store_codec: str = "v1",
+    store_codec: str = DEFAULT_CODEC,
 ) -> List[RunSpec]:
     """One spec per selected scenario, registry order."""
     return [
@@ -160,7 +161,7 @@ def run_zoo_matrix(
     progress: Optional[Callable] = None,
     framework: Optional[str] = None,
     store: Optional[str] = None,
-    store_codec: str = "v1",
+    store_codec: str = DEFAULT_CODEC,
     replay_check: bool = False,
     replay_timing: str = "afap",
 ) -> Dict[str, Any]:

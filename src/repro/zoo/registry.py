@@ -27,6 +27,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from repro.errors import InvalidArgument
 from repro.harness.parallel import RunSpec, WORKLOADS
 from repro.harness.testbed import TestbedConfig
+from repro.store.segments import DEFAULT_CODEC
 from repro.units import KiB
 
 __all__ = [
@@ -105,7 +106,7 @@ class ZooScenario:
         sim_timeout: Optional[float] = None,
         retries: int = 0,
         store: Optional[str] = None,
-        store_codec: str = "v1",
+        store_codec: str = DEFAULT_CODEC,
     ) -> RunSpec:
         """Lower this scenario to a pickle-safe harness :class:`RunSpec`."""
         return RunSpec.create(

@@ -150,3 +150,50 @@ class TestSweepIntegration:
         third = run_sweep([spec_b], cache=cache)
         assert third.report.cache_hits == 1
         assert third.points[0].cached
+
+
+class TestCodecKey:
+    """The segment codec in the key: v2 is the default, old v1 entries
+    keep their keys, and the two codecs never share an entry."""
+
+    def _archived(self, tmp_path, **kw):
+        from dataclasses import replace
+
+        return replace(_spec(), store=str(tmp_path / "bank"), **kw)
+
+    def test_codec_keys_are_unchanged_from_before_the_flip(
+        self, tmp_path, monkeypatch
+    ):
+        # Keys recorded while v1 was still the default (package version
+        # pinned so the digests stay comparable): an explicit-v1 spec
+        # keeps the key every pre-columnar archived entry was stored
+        # under, and the v2 default keys as explicit v2 always did.
+        monkeypatch.setattr(repro, "__version__", "golden")
+        v1 = self._archived(tmp_path, store_codec="v1")
+        assert spec_key(v1) == (
+            "505308f4930fdf44da55ba58b056be046098679fd7babfc8493802ea66d2230d"
+        )
+        assert spec_key(self._archived(tmp_path)) == (
+            "039bd1fff871edaf31e34e0edbed577334d5b39f3d591ce33b06216b625cbf02"
+        )
+
+    def test_warm_v1_entry_never_serves_a_default_run(self, tmp_path):
+        from repro.store.bank import TraceBank
+
+        cache = RunCache(tmp_path / "cache")
+        v1 = self._archived(tmp_path, store_codec="v1")
+        first = run_sweep([v1], cache=cache)
+        v1_run = first.points[0].store_run_id
+
+        second = run_sweep([self._archived(tmp_path)], cache=cache)
+        assert second.report.cache_hits == 0
+        v2_run = second.points[0].store_run_id
+        assert v2_run != v1_run
+        bank = TraceBank(tmp_path / "bank", create=False)
+        assert "format" not in bank.manifest(v1_run).codec
+        assert bank.manifest(v2_run).codec["format"] == "v2"
+
+        # The v1 entry is still warm for explicit-v1 specs.
+        third = run_sweep([v1], cache=cache)
+        assert third.report.cache_hits == 1
+        assert third.points[0].store_run_id == v1_run

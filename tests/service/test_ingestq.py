@@ -138,3 +138,47 @@ class TestTransientCommitFailure:
         assert resp.status == 400
         assert app.queue.discarded == 1
         assert sorted((root / "wal").glob("*.wal")) == []
+
+
+class TestPreUpgradeWalEntry:
+    def test_codecless_entry_recovers_as_v1_under_its_acked_run_id(self, tmp_path):
+        # WAL headers gained a "codec" field when v2 became selectable; an
+        # entry written before that was acked as a v1 ingest.  After the
+        # default flipped to v2 it must still recover to the v1 run id.
+        from repro.store import TraceBank
+        from repro.trace.records import TraceBundle
+
+        root = tmp_path / "svc"
+        trace, body = _trace_and_body()
+        entry = IngestQueue(root, capacity=4).write_wal(
+            "alice", body, trace, 0, {}, "v1"
+        )
+        head, _sep, rest = entry.path.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        del header["codec"]
+        entry.path.write_bytes(
+            json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + rest
+        )
+
+        recovered = IngestQueue(root, capacity=4).recover()
+        assert [e.codec for e in recovered] == ["v1"]
+
+        acked = TraceBank(tmp_path / "pre-upgrade").ingest_bundle(
+            TraceBundle(files={0: trace}, metadata={"framework": trace.framework}),
+            meta={"kind": "service"},
+            codec="v1",
+        ).run_id
+
+        async def restart():
+            app = ServiceApp(root)
+            await app.startup()
+            try:
+                await app.queue.queue.join()  # recovery commits the entry
+                return await app.handle(Request("GET", "/v1/t/alice/runs"))
+            finally:
+                await app.shutdown()
+
+        resp = asyncio.run(restart())
+        assert resp.status == 200
+        assert [r["run_id"] for r in json.loads(resp.body)["runs"]] == [acked]
+        assert sorted((root / "wal").glob("*.wal")) == []

@@ -191,11 +191,9 @@ class TestSweepCodecPlumbing:
 
         base = dict(workload="mpi_io_test", workload_args={"block_size": 1})
         plain = RunSpec.create("lanl-trace", **base)
-        v1 = RunSpec.create("lanl-trace", store=".s", **base)
-        v1_explicit = RunSpec.create(
-            "lanl-trace", store=".s", store_codec="v1", **base
-        )
+        default = RunSpec.create("lanl-trace", store=".s", **base)
+        v1 = RunSpec.create("lanl-trace", store=".s", store_codec="v1", **base)
         v2 = RunSpec.create("lanl-trace", store=".s", store_codec="v2", **base)
-        assert spec_key(v1) == spec_key(v1_explicit)  # default never widens
+        assert spec_key(default) == spec_key(v2)  # the default is v2
         assert spec_key(v2) != spec_key(v1)
         assert spec_key(plain) != spec_key(v1)
