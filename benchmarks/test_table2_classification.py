@@ -18,7 +18,6 @@ from repro.core.casestudy import (
 )
 from repro.core.overhead import measure_overhead_report
 from repro.core.values import OverheadReport
-from repro.frameworks.lanltrace import LANLTrace, LANLTraceConfig
 from repro.frameworks.ptrace import PTrace
 from repro.frameworks.tracefs import Tracefs, TracefsConfig
 from repro.harness.experiment import measure_overhead
@@ -42,7 +41,7 @@ def test_table2_published(once):
 
 def _measure_lanl():
     return measure_overhead_report(
-        lambda: LANLTrace(LANLTraceConfig()),
+        "lanl-trace",
         block_sizes=[64 * KiB, 1 * MiB],
         patterns=[AccessPattern.N_TO_1_STRIDED, AccessPattern.N_TO_N],
         total_bytes_per_rank=8 * MiB,

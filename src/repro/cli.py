@@ -102,7 +102,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.core.casestudy import paper_table2
 from repro.core.requirements import Requirements, recommend
@@ -311,9 +311,51 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_figures(args: argparse.Namespace) -> int:
+def _emit_sweep_bench(
+    args: argparse.Namespace,
+    command: str,
+    quick: bool,
+    jobs: int,
+    nprocs: int,
+    wall_seconds: float,
+    points: List[Dict[str, Any]],
+    cache: Optional[Dict[str, Any]] = None,
+    overhead_range: Optional[Dict[str, float]] = None,
+) -> None:
+    """Write a sweep's ``repro/bench_sweep/v1`` artifact (``--bench-out``)
+    and append its baseline-history record (``--baseline``)."""
     import json
 
+    if args.bench_out:
+        bench = {
+            "schema": "repro/bench_sweep/v1",
+            "command": command,
+            "quick": quick,
+            "jobs": jobs,
+            "nprocs": nprocs,
+            "wall_seconds": wall_seconds,
+        }
+        if cache is not None:
+            bench["cache"] = cache
+        bench["points"] = points
+        if overhead_range is not None:
+            bench["elapsed_overhead_range"] = overhead_range
+        Path(args.bench_out).write_text(json.dumps(bench, indent=2) + "\n")
+        print("wrote %s" % args.bench_out)
+    if args.baseline:
+        from repro.obs.baseline import append_history, make_record
+
+        record = make_record(
+            points, quick=quick, nprocs=nprocs, jobs=jobs, label=args.baseline_label
+        )
+        idx = append_history(args.baseline, record)
+        print(
+            "appended baseline record #%d (%d point(s)) to %s"
+            % (idx, len(points), args.baseline)
+        )
+
+
+def _cmd_figures(args: argparse.Namespace) -> int:
     from repro.harness.figures import run_figures
     from repro.harness.report import render_figure, render_overhead_range
 
@@ -349,26 +391,23 @@ def _cmd_figures(args: argparse.Namespace) -> int:
             report.cache_misses,
         )
     )
-    bench = {
-        "schema": "repro/bench_sweep/v1",
-        "command": "figures",
-        "quick": bool(args.quick),
-        "jobs": report.jobs,
-        "nprocs": nprocs,
-        "wall_seconds": report.wall_seconds,
-        "cache": {
+    _emit_sweep_bench(
+        args,
+        "figures",
+        quick=bool(args.quick),
+        jobs=report.jobs,
+        nprocs=nprocs,
+        wall_seconds=report.wall_seconds,
+        points=sweep.bench_points,
+        cache={
             "enabled": cache is not None,
             "dir": None if cache is None else str(cache.root),
             "hits": report.cache_hits,
             "misses": report.cache_misses,
             "hit_rate": report.cache_hit_rate,
         },
-        "points": sweep.bench_points,
-        "elapsed_overhead_range": sweep.overhead_range,
-    }
-    if args.bench_out:
-        Path(args.bench_out).write_text(json.dumps(bench, indent=2) + "\n")
-        print("wrote %s" % args.bench_out)
+        overhead_range=sweep.overhead_range,
+    )
     if args.telemetry:
         written = _write_telemetry_artifacts(
             args.telemetry_out,
@@ -381,21 +420,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
             ),
         )
         print("wrote %d telemetry artifact(s) to %s" % (len(written), args.telemetry_out))
-    if args.baseline:
-        from repro.obs.baseline import append_history, make_record
-
-        record = make_record(
-            sweep.bench_points,
-            quick=bool(args.quick),
-            nprocs=nprocs,
-            jobs=report.jobs,
-            label=args.baseline_label,
-        )
-        idx = append_history(args.baseline, record)
-        print(
-            "appended baseline record #%d (%d point(s)) to %s"
-            % (idx, len(sweep.bench_points), args.baseline)
-        )
     return 0
 
 
@@ -505,32 +529,15 @@ def _run_zoo(args: argparse.Namespace, scenarios) -> int:
     if args.replay_check:
         exact = report["summary"]["replay_exact"]
         print("replay check: %d/%d exact" % (exact, report["summary"]["archived"]))
-    if getattr(args, "bench_out", None):
-        bench = {
-            "schema": "repro/bench_sweep/v1",
-            "command": "zoo",
-            "quick": bool(args.smoke),
-            "jobs": ex["jobs"],
-            "nprocs": ZOO_NPROCS,
-            "wall_seconds": ex["wall_seconds"],
-            "points": bench_points(report),
-        }
-        import json
-
-        Path(args.bench_out).write_text(json.dumps(bench, indent=2) + "\n")
-        print("wrote %s" % args.bench_out)
-    if getattr(args, "baseline", None):
-        from repro.obs.baseline import append_history, make_record
-
-        record = make_record(
-            bench_points(report),
-            quick=bool(args.smoke),
-            nprocs=ZOO_NPROCS,
-            jobs=ex["jobs"],
-            label=args.baseline_label,
-        )
-        idx = append_history(args.baseline, record)
-        print("appended baseline record #%d to %s" % (idx, args.baseline))
+    _emit_sweep_bench(
+        args,
+        "zoo",
+        quick=bool(args.smoke),
+        jobs=ex["jobs"],
+        nprocs=ZOO_NPROCS,
+        wall_seconds=ex["wall_seconds"],
+        points=bench_points(report),
+    )
     if args.report_out:
         Path(args.report_out).write_text(canonical_json(report) + "\n")
         print("wrote %s" % args.report_out)

@@ -3,20 +3,21 @@
 The feature classification is "done by inspection"; overhead is "based
 upon empirical measurements of the performance and end-to-end timing
 overheads using a synthetic application benchmark".  This module is the
-bridge between the two: it runs the measurement protocol from
-:mod:`repro.harness.experiment` and condenses the results into the
+bridge between the two: it runs the measurement protocol through
+:mod:`repro.harness.parallel` and condenses the results into the
 :class:`~repro.core.values.OverheadReport` cell a classification carries.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Iterable, Optional
 
 from repro.core.values import OverheadReport
-from repro.harness.experiment import OverheadMeasurement, sweep_block_sizes
+from repro.errors import ReproError
+from repro.harness.parallel import build_sweep_specs, run_sweep
 from repro.harness.testbed import TestbedConfig
 from repro.units import MiB
-from repro.workloads import AccessPattern, mpi_io_test
+from repro.workloads import AccessPattern
 
 __all__ = ["elapsed_time_overhead", "measure_overhead_report"]
 
@@ -33,7 +34,7 @@ def elapsed_time_overhead(untraced_elapsed: float, traced_elapsed: float) -> flo
 
 
 def measure_overhead_report(
-    framework_factory: Callable,
+    framework: Any,
     block_sizes: Iterable[int],
     patterns: Iterable[AccessPattern] = tuple(AccessPattern),
     total_bytes_per_rank: int = 16 * MiB,
@@ -44,23 +45,32 @@ def measure_overhead_report(
 ) -> OverheadReport:
     """Measure a framework's elapsed-time-overhead cell empirically.
 
-    Sweeps the synthetic benchmark over patterns × block sizes and
-    condenses to the min/max range the paper reports (e.g. LANL-Trace's
-    "24% - 222%").
+    ``framework`` is anything :func:`~repro.harness.parallel.as_framework_spec`
+    accepts: a spec, a registered factory name or a registered framework
+    class.  Sweeps the synthetic benchmark over patterns × block sizes in
+    one :func:`~repro.harness.parallel.run_sweep` and condenses to the
+    min/max range the paper reports (e.g. LANL-Trace's "24% - 222%").
     """
-    overheads: List[float] = []
+    sizes = list(block_sizes)
+    specs = []
     for pattern in patterns:
-        measurements = sweep_block_sizes(
-            framework_factory,
-            mpi_io_test,
-            {"pattern": pattern, "path": "/pfs/mpi_io_test.out"},
-            block_sizes,
-            total_bytes_per_rank,
-            config=config,
-            nprocs=nprocs,
-            seed=seed,
+        specs.extend(
+            build_sweep_specs(
+                framework,
+                "mpi_io_test",
+                {"pattern": pattern, "path": "/pfs/mpi_io_test.out"},
+                sizes,
+                total_bytes_per_rank,
+                config=config,
+                nprocs=nprocs,
+                seed=seed,
+            )
         )
-        overheads.extend(m.elapsed_overhead for m in measurements)
+    points = run_sweep(specs).points
+    for p in points:
+        if p.error is not None:
+            raise ReproError("overhead point %r failed: %s" % (p.params_dict(), p.error))
+    overheads = [p.elapsed_overhead for p in points]
     return OverheadReport(
         min_percent=round(100.0 * min(overheads), 1),
         max_percent=round(100.0 * max(overheads), 1),

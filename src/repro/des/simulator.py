@@ -9,25 +9,22 @@ blocked process's wait reason, and (when telemetry is on) the last
 dispatched events — silent hangs are the worst failure mode of a
 simulated cluster, so they are loud here.
 
-Two run loops are provided, both draining the calendar-bucket queue
+:meth:`Simulator.run` drains the calendar-bucket queue
 (:mod:`repro.des.queue`) one same-timestamp **batch** at a time: the
 heap is touched once per distinct simulated instant, and every event
 sharing that instant dispatches from a flat list — zero-delay cascades
 (completion settling, process starts) never re-enter heap discipline.
-:meth:`Simulator.run` validates every batch against backwards time
-travel; :meth:`Simulator.run_fast` performs that check only for the
-first ``check_first`` events and then drops it from the hot loop.  Both
-dispatch exactly the same events in exactly the same order — batching
-changes per-event overhead, never history — so ``events_executed``
-fingerprints are identical between them (and with the pre-columnar
-one-heap-entry-per-event kernel).
+Each batch is validated against backwards time travel, which costs one
+comparison per distinct timestamp.  Batching changes per-event
+overhead, never history: ``events_executed`` fingerprints are identical
+with the one-heap-entry-per-event kernel it replaced.
 
-When a telemetry session (:mod:`repro.obs.tracepoints`) is active, both
-entry points route to a third loop, :meth:`Simulator._run_observed`,
-which additionally feeds the dispatched-event ring buffer and samples
-queue depth.  The selection happens once per ``run()`` call, so the
-disabled-telemetry hot loops are byte-for-byte the uninstrumented ones —
-telemetry off costs nothing per event.
+When a telemetry session (:mod:`repro.obs.tracepoints`) is active,
+``run()`` routes to :meth:`Simulator._run_observed`, which dispatches
+the same history while feeding the dispatched-event ring buffer and
+sampling queue depth.  The selection happens once per ``run()`` call, so
+the disabled-telemetry hot loop is byte-for-byte the uninstrumented
+one — telemetry off costs nothing per event.
 
 Every loop also accumulates host wall-clock time, exposed as
 :attr:`Simulator.wall_seconds`, :attr:`Simulator.events_per_sec` and
@@ -234,60 +231,6 @@ class Simulator:
                     # Callbacks may append same-time events to the live
                     # bucket; re-reading len() each step drains them too.
                     # Buckets are flat [cursor, cb, args, cb, args, ...].
-                    while i < len(bucket):
-                        callback = bucket[i]
-                        args = bucket[i + 1]
-                        i += 2
-                        executed += 1
-                        callback(*args)
-                finally:
-                    release(t, bucket, i)
-        finally:
-            self._events_executed += executed
-            self._wall_seconds += perf_counter() - t0_wall
-        self._raise_if_deadlocked()
-        return self._now
-
-    def run_fast(self, until: Optional[float] = None, check_first: int = 512) -> float:
-        """Like :meth:`run`, with the backwards-time check dropped after the
-        first ``check_first`` events.
-
-        The check is a pure sanity assertion — it never alters dispatch
-        order — so this loop produces byte-identical histories and
-        ``events_executed`` fingerprints while shaving a comparison and a
-        branch off every batch past the warm-up window.  Scheduling bugs
-        that push events into the past are still caught during the window
-        (and by :meth:`run`, which the test suite exercises throughout).
-
-        The ``until`` horizon is handled by :meth:`~repro.des.queue.
-        EventQueue.peek_time`: the boundary batch is peeked, never popped,
-        so stopping at a horizon and resuming later costs nothing — no
-        pop-then-reschedule churn at the boundary.
-        """
-        col = _TELEMETRY.collector
-        if col is not None:
-            return self._run_observed(until, col)
-        queue = self._queue
-        times = queue._times
-        buckets = queue._buckets
-        release = queue.release_bucket
-        peek_time = queue.peek_time
-        executed = 0
-        t0_wall = perf_counter()
-        try:
-            while times:
-                if until is not None and peek_time() > until:
-                    self._now = until
-                    return until
-                t = times[0]
-                if executed < check_first and t < self._now:
-                    raise SimTimeError(
-                        "event queue went backwards: %r < %r" % (t, self._now)
-                    )
-                self._now = t
-                bucket = buckets[t]
-                i = bucket[0]
-                try:
                     while i < len(bucket):
                         callback = bucket[i]
                         args = bucket[i + 1]

@@ -296,7 +296,7 @@ def run_under_faults(
     start = job.start_time
     status, error = "completed", None
     try:
-        sim.run_fast(until=(start + horizon) if horizon is not None else None)
+        sim.run(until=(start + horizon) if horizon is not None else None)
     except DeadlockError as exc:
         root = None
         for proc in job.des_processes:

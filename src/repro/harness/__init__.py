@@ -3,10 +3,11 @@
 * :mod:`repro.harness.testbed` — builds the standard simulated machine
   (cluster + parallel FS at ``/pfs`` + NFS home at ``/home`` + local
   scratch at ``/tmp``), mirroring the paper's testbed;
-* :mod:`repro.harness.experiment` — traced-vs-untraced measurement
-  protocol and parameter sweeps;
-* :mod:`repro.harness.parallel` — pickle-safe run specs and the
-  process-pool sweep executor;
+* :mod:`repro.harness.experiment` — the traced-vs-untraced measurement
+  protocol for one point, run in-process;
+* :mod:`repro.harness.parallel` — pickle-safe run specs and
+  :func:`run_sweep`, the one executor every sweep goes through (serial,
+  process pool or cache);
 * :mod:`repro.harness.runcache` — content-addressed on-disk cache of
   sweep-point results (determinism makes every point replayable);
 * :mod:`repro.harness.figures` — series generators for the paper's
@@ -19,7 +20,6 @@ from repro.harness.experiment import (
     OverheadMeasurement,
     measure_overhead,
     run_untraced,
-    sweep_block_sizes,
 )
 from repro.harness.parallel import (
     FrameworkSpec,
@@ -38,7 +38,6 @@ __all__ = [
     "OverheadMeasurement",
     "measure_overhead",
     "run_untraced",
-    "sweep_block_sizes",
     "FrameworkSpec",
     "PointResult",
     "RunSpec",

@@ -15,17 +15,21 @@ Bandwidth overhead (Figures 2-4) is reported as the fractional bandwidth
 *loss*, ``(BW_untraced - BW_traced) / BW_untraced`` — equivalent to time
 overhead mapped into [0, 1), which is how the paper's per-pattern
 percentages (51.3% ... 0.6%) behave.
+
+These are the protocol's in-process primitives: one run, one measured
+pair, and the workload args of one sweep point.  Block-size sweeps are
+built from them as pickle-safe specs and executed by
+:func:`repro.harness.parallel.run_sweep`, the one sweep executor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.frameworks.base import TracedRun, TracingFramework
 from repro.harness.testbed import Testbed, TestbedConfig, build_testbed
 from repro.simmpi.runtime import JobResult, mpirun
-from repro.store.segments import DEFAULT_CODEC
 
 __all__ = [
     "RunOutcome",
@@ -34,7 +38,6 @@ __all__ = [
     "run_traced",
     "measure_overhead",
     "sweep_args_for_block_size",
-    "sweep_block_sizes",
 ]
 
 FrameworkFactory = Callable[[], TracingFramework]
@@ -186,69 +189,3 @@ def sweep_args_for_block_size(
     """
     nobj = max(1, total_bytes_per_rank // block_size)
     return dict(base_args, block_size=block_size, nobj=nobj)
-
-
-def sweep_block_sizes(
-    framework_factory: Any,
-    workload: Any,
-    base_args: Dict[str, Any],
-    block_sizes: Iterable[int],
-    total_bytes_per_rank: int,
-    config: Optional[TestbedConfig] = None,
-    nprocs: Optional[int] = None,
-    seed: Optional[int] = None,
-    jobs: int = 1,
-    cache: Optional[Any] = None,
-    telemetry: bool = False,
-    progress: Optional[Callable] = None,
-    store: Optional[str] = None,
-    store_codec: str = DEFAULT_CODEC,
-) -> List[Any]:
-    """Measure overhead across block sizes at constant bytes per rank.
-
-    With the defaults this is the original serial protocol and returns
-    :class:`OverheadMeasurement` objects (carrying live trace bundles).
-    Passing ``jobs > 1``, a :class:`~repro.harness.runcache.RunCache`, a
-    pickle-safe framework spec (a :class:`~repro.harness.parallel.FrameworkSpec`
-    or registered factory name instead of a closure), ``telemetry=True``,
-    a ``store`` archive root (each point then ingests its traced bundle
-    into that TraceBank), or a ``progress`` callback routes the sweep through
-    :func:`repro.harness.parallel.run_sweep` and returns
-    :class:`~repro.harness.parallel.PointResult` objects — same overhead
-    numbers and fingerprints, no live simulator state.
-    """
-    from repro.harness.parallel import FrameworkSpec, build_sweep_specs, run_sweep
-
-    if (
-        jobs != 1
-        or cache is not None
-        or telemetry
-        or store is not None
-        or progress is not None
-        or isinstance(framework_factory, (FrameworkSpec, str))
-    ):
-        specs = build_sweep_specs(
-            framework_factory,
-            workload,
-            base_args,
-            block_sizes,
-            total_bytes_per_rank,
-            config=config,
-            nprocs=nprocs,
-            seed=seed,
-            telemetry=telemetry,
-            store=store,
-            store_codec=store_codec,
-        )
-        return run_sweep(specs, jobs=jobs, cache=cache, progress=progress).points
-    if isinstance(workload, str):
-        from repro.harness.parallel import WORKLOADS
-
-        workload = WORKLOADS[workload]
-    out: List[OverheadMeasurement] = []
-    for bs in block_sizes:
-        args = sweep_args_for_block_size(base_args, bs, total_bytes_per_rank)
-        out.append(
-            measure_overhead(framework_factory, workload, args, config, nprocs, seed)
-        )
-    return out

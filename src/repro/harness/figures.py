@@ -23,9 +23,9 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Unio
 
 from repro.cluster.cluster import ClusterConfig
 from repro.cluster.network import NetworkConfig
-from repro.harness.experiment import sweep_block_sizes
 from repro.harness.parallel import (
     FrameworkSpec,
+    PointResult,
     SweepReport,
     build_sweep_specs,
     run_sweep,
@@ -98,18 +98,20 @@ class FigurePoint:
 class FigureSeries:
     """A full figure: pattern + points ordered by block size.
 
-    ``measurements`` keeps the raw per-point result objects (when the
-    generating sweep provided them) so callers can reach data the
-    :class:`FigurePoint` summary drops — notably telemetry payloads.  It
-    is excluded from equality: point results carry host wall-clock times,
-    and two byte-identical series must compare equal across runs.
+    ``measurements`` keeps the raw per-point :class:`PointResult` objects
+    so callers can reach data the :class:`FigurePoint` summary drops —
+    notably telemetry payloads.  It is excluded from equality: point
+    results carry host wall-clock times, and two byte-identical series
+    must compare equal across runs.
     """
 
     figure_number: int
     pattern: AccessPattern
     nprocs: int
     points: List[FigurePoint]
-    measurements: List[Any] = field(default_factory=list, compare=False, repr=False)
+    measurements: List[PointResult] = field(
+        default_factory=list, compare=False, repr=False
+    )
 
     def block_sizes(self) -> List[int]:
         """The x axis: block sizes in point order."""
@@ -124,19 +126,17 @@ class FigureSeries:
         return [p.elapsed_overhead for p in self.points]
 
 
-def _figure_points(sizes: Sequence[int], measurements: Sequence[Any]) -> List[FigurePoint]:
-    # Works for both OverheadMeasurement and parallel.PointResult — the two
-    # expose identical overhead/bandwidth accessors by design.
+def _figure_points(sizes: Sequence[int], points: Sequence[PointResult]) -> List[FigurePoint]:
     return [
         FigurePoint(
             block_size=bs,
-            untraced_bandwidth=m.untraced.aggregate_bandwidth,
-            traced_bandwidth=m.traced.aggregate_bandwidth,
-            bandwidth_overhead=m.bandwidth_overhead,
-            elapsed_overhead=m.elapsed_overhead,
-            error=getattr(m, "error", None),
+            untraced_bandwidth=p.untraced.aggregate_bandwidth,
+            traced_bandwidth=p.traced.aggregate_bandwidth,
+            bandwidth_overhead=p.bandwidth_overhead,
+            elapsed_overhead=p.elapsed_overhead,
+            error=p.error,
         )
-        for bs, m in zip(sizes, measurements)
+        for bs, p in zip(sizes, points)
     ]
 
 
@@ -146,7 +146,6 @@ def figure_series(
     total_bytes_per_rank: int = 32 * MiB,
     nprocs: int = 32,
     seed: int = 0,
-    framework_factory: Optional[Callable] = None,
     framework: Union[FrameworkSpec, str] = "lanl-trace",
     jobs: int = 1,
     cache: Optional[Any] = None,
@@ -155,7 +154,7 @@ def figure_series(
     store: Optional[str] = None,
     store_codec: str = DEFAULT_CODEC,
 ) -> FigureSeries:
-    """Regenerate Figure 2, 3 or 4.
+    """Regenerate Figure 2, 3 or 4: :func:`run_figures` for one figure.
 
     ``total_bytes_per_rank`` is the scaled-down stand-in for the paper's
     100 GB (N-1) / 10 GB-per-rank (N-N) files: constant per block size, so
@@ -164,38 +163,23 @@ def figure_series(
     ``framework`` is a pickle-safe spec (or registered factory name); with
     ``jobs > 1`` the sweep points fan out over worker processes, and with a
     ``cache`` (:class:`~repro.harness.runcache.RunCache`) previously
-    measured points are served from disk.  The legacy ``framework_factory``
-    closure argument forces the serial in-process path.  All paths produce
+    measured points are served from disk.  Every combination produces a
     byte-identical series — the simulator is deterministic.
     """
-    try:
-        pattern = FIGURE_PATTERNS[figure_number]
-    except KeyError:
-        raise ValueError("paper figures with overhead sweeps are 2, 3, 4") from None
-    sizes = sorted(block_sizes if block_sizes is not None else PAPER_BLOCK_SIZES)
-    measurements = sweep_block_sizes(
-        framework_factory if framework_factory is not None else framework,
-        "mpi_io_test",
-        {"pattern": pattern, "path": "/pfs/mpi_io_test.out"},
-        sizes,
-        total_bytes_per_rank,
-        config=paper_testbed(seed=seed, nprocs=nprocs),
+    return run_figures(
+        (figure_number,),
+        block_sizes=block_sizes,
+        total_bytes_per_rank=total_bytes_per_rank,
         nprocs=nprocs,
         seed=seed,
+        framework=framework,
         jobs=jobs,
         cache=cache,
         telemetry=telemetry,
         progress=progress,
         store=store,
         store_codec=store_codec,
-    )
-    return FigureSeries(
-        figure_number=figure_number,
-        pattern=pattern,
-        nprocs=nprocs,
-        points=_figure_points(sizes, measurements),
-        measurements=list(measurements),
-    )
+    ).series[figure_number]
 
 
 @dataclass

@@ -22,6 +22,7 @@ deterministic unit of work.  This module makes such points schedulable:
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
@@ -30,7 +31,8 @@ from repro.errors import ReproError
 from repro.frameworks.base import TracingFramework
 from repro.harness.experiment import (
     RunOutcome,
-    measure_overhead,
+    run_traced,
+    run_untraced,
     sweep_args_for_block_size,
 )
 from repro.harness.testbed import TestbedConfig
@@ -259,7 +261,7 @@ class PointResult:
     """One measured sweep point, reduced to pickle-safe numbers.
 
     Mirrors :class:`~repro.harness.experiment.OverheadMeasurement`'s
-    overhead properties so figure assembly treats them interchangeably.
+    overhead properties, minus the live simulator state.
     ``wall_seconds`` is the real (host) time the measurement took;
     ``cached`` marks results served from a :class:`RunCache`.
 
@@ -473,57 +475,40 @@ def execute_spec(spec: RunSpec) -> PointResult:
         from repro.faults.chaos import execute_fault_spec
 
         return execute_fault_spec(spec)
-    t0 = time.perf_counter()
     if spec.telemetry:
-        from repro.harness.experiment import run_traced, run_untraced
         from repro.obs.tracepoints import session
-
-        with session() as col_u:
-            untraced = run_untraced(
-                spec.workload_fn(),
-                spec.args_dict(),
-                config=spec.config,
-                nprocs=spec.nprocs,
-                seed=spec.seed,
-            )
-            payload_u = col_u.export(end_time=untraced.elapsed)
-        with session() as col_t:
-            traced, traced_run = run_traced(
-                spec.framework.build,
-                spec.workload_fn(),
-                spec.args_dict(),
-                config=spec.config,
-                nprocs=spec.nprocs,
-                seed=spec.seed,
-            )
-            payload_t = col_t.export(end_time=traced.elapsed)
-        # Ingest outside the sessions so archive tracepoints never leak
-        # into the measurement's telemetry payloads.
-        run_id = ingest_spec_bundle(spec, traced_run.bundle)
-        wall = time.perf_counter() - t0
-        return PointResult(
-            params=spec.workload_args,
-            untraced=RunStats.from_outcome(untraced),
-            traced=RunStats.from_outcome(traced),
-            wall_seconds=wall,
-            telemetry={"untraced": payload_u, "traced": payload_t},
-            store_run_id=run_id,
+    else:
+        session = nullcontext  # yields None: no collector, no payloads
+    t0 = time.perf_counter()
+    workload = spec.workload_fn()
+    args = spec.args_dict()
+    with session() as col_u:
+        untraced = run_untraced(
+            workload, args, config=spec.config, nprocs=spec.nprocs, seed=spec.seed
         )
-    m = measure_overhead(
-        spec.framework.build,
-        spec.workload_fn(),
-        spec.args_dict(),
-        config=spec.config,
-        nprocs=spec.nprocs,
-        seed=spec.seed,
-    )
-    run_id = ingest_spec_bundle(spec, m.traced_run.bundle)
+        payload_u = None if col_u is None else col_u.export(end_time=untraced.elapsed)
+    with session() as col_t:
+        traced, traced_run = run_traced(
+            spec.framework.build,
+            workload,
+            args,
+            config=spec.config,
+            nprocs=spec.nprocs,
+            seed=spec.seed,
+        )
+        payload_t = None if col_t is None else col_t.export(end_time=traced.elapsed)
+    # Ingest outside the sessions so archive tracepoints never leak
+    # into the measurement's telemetry payloads.
+    run_id = ingest_spec_bundle(spec, traced_run.bundle)
     wall = time.perf_counter() - t0
     return PointResult(
-        params=_kv(m.params),
-        untraced=RunStats.from_outcome(m.untraced),
-        traced=RunStats.from_outcome(m.traced),
+        params=_kv(args),
+        untraced=RunStats.from_outcome(untraced),
+        traced=RunStats.from_outcome(traced),
         wall_seconds=wall,
+        telemetry=(
+            {"untraced": payload_u, "traced": payload_t} if spec.telemetry else None
+        ),
         store_run_id=run_id,
     )
 

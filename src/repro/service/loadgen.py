@@ -22,6 +22,7 @@ land in canonical JSON (``BENCH_service.json`` by convention) feeding the
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
 import random
 import time
@@ -269,6 +270,12 @@ _QUERY_TARGET = "/v1/t/%s/query?agg=ops&limit=32"
 _DFG_TARGET = "/v1/t/%s/dfg?limit=32"
 
 
+def _jitter(*parts: Any) -> float:
+    """A deterministic fraction in [0, 1) derived from ``parts``."""
+    digest = hashlib.sha256(":".join(map(str, parts)).encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big") / 2.0**64
+
+
 async def _run_client(
     host: str,
     port: int,
@@ -320,12 +327,15 @@ async def _run_client(
                     route_obs["status_counts"].get(status, 0) + 1
                 )
                 if status == 429 and retries < max_429_retries:
-                    # Exponential backoff from the server's own hint —
-                    # deterministic, and it keeps a saturated queue from
-                    # drowning in retry traffic.
+                    # Exponential backoff from the server's own hint, with
+                    # full jitter so clients rejected together do not all
+                    # retry together; the jitter is a hash, so deterministic.
                     base = float(headers.get("retry-after", "0.25"))
                     sink["retries_429"] += 1
-                    await asyncio.sleep(min(5.0, base * (2 ** min(retries, 6))))
+                    delay = min(5.0, base * (2 ** min(retries, 6)))
+                    await asyncio.sleep(
+                        delay * _jitter(plan.seed, client_idx, op_idx, retries)
+                    )
                     retries += 1
                     continue
                 if status >= 500:

@@ -136,10 +136,7 @@ def mpirun(
         return result
 
     try:
-        # Whole-job drains are the simulator's hot loop; run_fast dispatches
-        # the identical event history with the per-event backwards-time
-        # check dropped after its warm-up window.
-        sim.run_fast(until=(start_time + horizon) if horizon is not None else None)
+        sim.run(until=(start_time + horizon) if horizon is not None else None)
     except DeadlockError:
         # A dead rank leaves peers blocked in collectives/recvs; the root
         # cause is the rank's own exception — surface that, not the

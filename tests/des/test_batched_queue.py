@@ -201,8 +201,8 @@ class TestBareNumberSleeps:
 class TestMidBatchExceptions:
     def test_exception_mid_batch_leaves_queue_consistent(self):
         # Three same-time processes; the middle one explodes inside a
-        # run_fast() batch drain.  The queue must stay consistent so a
-        # plain run() afterwards finishes the survivors.
+        # run() batch drain.  The queue must stay consistent so the same
+        # drain still finishes the survivors.
         sim = Simulator()
         seen = []
 
@@ -217,7 +217,7 @@ class TestMidBatchExceptions:
         sim.spawn(ok("a"))
         proc = sim.spawn(boom(), name="boom")
         sim.spawn(ok("b"))
-        sim.run_fast()
+        sim.run()
         assert proc.completion.done and not proc.completion.ok
         assert seen == ["a", "b"]
         assert sim.pending_events == 0
@@ -240,7 +240,7 @@ class TestMidBatchExceptions:
 
         sim.spawn(watcher(), daemon=True)
         proc = sim.spawn(boom(), name="boom")
-        sim.run_fast()
+        sim.run()
         assert proc.completion.done and not proc.completion.ok
         assert isinstance(proc.completion.exception, ValueError)
         assert seen == [pytest.approx(t) for t in (1.0, 2.0, 3.0)]
@@ -255,9 +255,9 @@ class TestMidBatchExceptions:
                 seen.append(sim.now)
 
         sim.spawn(body(), daemon=True)
-        assert sim.run_fast(until=2.5) == 2.5
+        assert sim.run(until=2.5) == 2.5
         assert seen == [pytest.approx(1.0), pytest.approx(2.0)]
         # The 3.0 event was peeked, not popped: still pending, runs next.
         assert sim.pending_events == 1
-        assert sim.run_fast() == pytest.approx(4.0)
+        assert sim.run() == pytest.approx(4.0)
         assert seen[-1] == pytest.approx(4.0)

@@ -3,14 +3,15 @@
 import pytest
 
 from repro.core.overhead import elapsed_time_overhead, measure_overhead_report
+from repro.errors import ReproError
 from repro.frameworks.lanltrace import LANLTrace, LANLTraceConfig
 from repro.harness.experiment import (
     OverheadMeasurement,
     RunOutcome,
     measure_overhead,
     run_untraced,
-    sweep_block_sizes,
 )
+from repro.harness.parallel import FRAMEWORK_FACTORIES, build_sweep_specs, run_sweep
 from repro.harness.figures import (
     FIGURE_PATTERNS,
     PAPER_BLOCK_SIZES,
@@ -79,16 +80,17 @@ class TestOverheadProtocol:
             elapsed_time_overhead(0.0, 1.0)
 
     def test_sweep_holds_bytes_constant(self):
-        ms = sweep_block_sizes(
-            lambda: LANLTrace(LANLTraceConfig()),
-            mpi_io_test,
+        specs = build_sweep_specs(
+            "lanl-trace",
+            "mpi_io_test",
             {"pattern": AccessPattern.N_TO_N, "path": "/pfs/out"},
             [64 * KiB, 256 * KiB],
             total_bytes_per_rank=1 * MiB,
             nprocs=2,
         )
-        assert ms[0].params["nobj"] == 16
-        assert ms[1].params["nobj"] == 4
+        ms = run_sweep(specs).points
+        assert ms[0].params_dict()["nobj"] == 16
+        assert ms[1].params_dict()["nobj"] == 4
         for m in ms:
             assert m.untraced.bytes_moved == 2 * 1 * MiB
 
@@ -130,7 +132,7 @@ class TestOverheadProtocol:
 
     def test_measured_overhead_report_cell(self):
         report = measure_overhead_report(
-            lambda: LANLTrace(LANLTraceConfig()),
+            "lanl-trace",
             block_sizes=[64 * KiB],
             patterns=[AccessPattern.N_TO_N],
             total_bytes_per_rank=512 * KiB,
@@ -139,6 +141,25 @@ class TestOverheadProtocol:
         assert report.min_percent is not None
         assert report.max_percent >= report.min_percent
         assert "%" in report.render()
+
+    def test_overhead_report_raises_on_failed_point(self, monkeypatch):
+        def broken(params):
+            raise ReproError("broken framework")
+
+        monkeypatch.setitem(FRAMEWORK_FACTORIES, "broken", broken)
+        # run_sweep turns the failure into an annotated zero-stats point;
+        # the report must not condense that into a 0% overhead cell.
+        with pytest.raises(ReproError, match="broken framework"):
+            measure_overhead_report(
+                "broken", block_sizes=[64 * KiB], patterns=[AccessPattern.N_TO_N],
+                total_bytes_per_rank=512 * KiB, nprocs=2,
+            )
+
+    def test_overhead_report_rejects_closures(self):
+        with pytest.raises(ReproError, match="cannot cross a process boundary"):
+            measure_overhead_report(
+                lambda: LANLTrace(LANLTraceConfig()), block_sizes=[64 * KiB]
+            )
 
 
 class TestFigureSeries:
@@ -152,6 +173,10 @@ class TestFigureSeries:
     def test_bad_figure_number(self):
         with pytest.raises(ValueError):
             figure_series(1)
+
+    def test_closure_framework_rejected(self):
+        with pytest.raises(ReproError, match="cannot cross a process boundary"):
+            figure_series(4, framework=lambda: LANLTrace(LANLTraceConfig()))
 
     def test_small_series_has_expected_shape(self):
         series = figure_series(

@@ -136,15 +136,6 @@ class TestDeterminismContract:
         lo, hi = sweep.overhead_range["min"], sweep.overhead_range["max"]
         assert 0 < lo <= hi
 
-    def test_legacy_closure_path_matches_spec_path(self):
-        from repro.frameworks.lanltrace import LANLTrace, LANLTraceConfig
-
-        legacy = figure_series(
-            4, framework_factory=lambda: LANLTrace(LANLTraceConfig()), **QUICK
-        )
-        spec = figure_series(4, **QUICK)
-        assert legacy == spec
-
 
 class TestParallelMap:
     def test_preserves_item_order(self):
